@@ -611,6 +611,49 @@ def _cmd_lint(args) -> int:
     return 1 if findings else 0
 
 
+def _kernels_match_oracle(moduli) -> bool:
+    """Production residue kernels and engine vs. their slow exact oracles."""
+    from .crt.residues import (
+        _RMOD_DIRECT_LIMIT,
+        residues_to_int8,
+        uint8_residues,
+        uint8_residues_stack,
+    )
+    from .engines.int8 import Int8MatrixEngine
+
+    rng = np.random.default_rng(0)
+    edge = _RMOD_DIRECT_LIMIT
+    x = np.concatenate(
+        [
+            np.trunc(rng.standard_normal(600) * 2.0**60),
+            [edge - 1.0, 1.0 - edge, edge, -edge, 128.0, -128.0, -0.0],
+        ]
+    )
+    ok = all(
+        np.array_equal(
+            residues_to_int8(v, moduli), residues_to_int8(v, moduli, single_pass=False)
+        )
+        for v in (x, x[np.abs(x) < edge])
+    )
+    c = rng.integers(-(2**31), 2**31, (len(moduli), 600), dtype=np.int32)
+    c[:, :2] = [-(2**31), 2**31 - 1]
+    u = uint8_residues_stack(c, moduli)
+    ok = ok and all(
+        np.array_equal(u[i], uint8_residues(c[i], p)) for i, p in enumerate(moduli)
+    )
+    for k in (1024, 1025):
+        a8 = rng.integers(-128, 128, (2, 8, k), dtype=np.int8)
+        b8 = rng.integers(-128, 128, (2, k, 8), dtype=np.int8)
+        # A saturated row/column with one unit term: an odd sum above 2^24
+        # if a float32 chunk were wider than exact.
+        a8[:, 0, :] = b8[:, :, 0] = -128
+        a8[:, 0, 0] = b8[:, 0, 0] = 1
+        fast, ref = Int8MatrixEngine(), Int8MatrixEngine(use_blas=False)
+        ok = ok and np.array_equal(fast.matmul_stack(a8, b8), ref.matmul_stack(a8, b8))
+        ok = ok and fast.counter.as_dict() == ref.counter.as_dict()
+    return bool(ok)
+
+
 def _cmd_selfcheck(args) -> int:
     import platform
 
@@ -702,6 +745,15 @@ def _cmd_selfcheck(args) -> int:
         (
             "fused vs per-modulus loop bit-identical",
             bool(np.array_equal(serial, unfused)),
+            "",
+        )
+    )
+
+    checks.append(
+        (
+            "division-free conversion/U-stack and SGEMM engine match the "
+            "oracle loop and integer engine (split threshold, k=1024/1025)",
+            _kernels_match_oracle(table.moduli),
             "",
         )
     )

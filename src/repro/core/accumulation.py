@@ -98,8 +98,8 @@ def accumulate_residue_products(
         the exact integer remainder.  Both yield identical ``U_i``.
     vectorized:
         When True (default), materialise the whole float64 U-stack first
-        (one scalar-divisor remainder per modulus, no UINT8/float64
-        round-trips) and evaluate ``C1`` with a single
+        (the division-free blocked reduction of :func:`repro.crt.residues.
+        uint8_residues_stack`, no UINT8/float64 round-trips) and evaluate ``C1`` with a single
         :func:`numpy.tensordot` of the split weights against the U-stack.
         For the 64-bit tables ``C1`` is order-independent because the
         split-weight accumulation is *error-free* (every ``s_i1 U_i`` has at

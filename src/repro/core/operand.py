@@ -62,6 +62,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
+import weakref
 from collections import OrderedDict
 from typing import Optional, Tuple
 
@@ -96,7 +97,8 @@ __all__ = [
 #: solvers escalate through 3–4 ladder stages, so four cached counts keep
 #: every ladder hot while bounding the residue-stack memory a long-lived
 #: operand can accumulate to ~4x one stack (previously unbounded: one
-#: stack per distinct count ever requested).
+#: stack per distinct count ever requested).  The origin operand itself is
+#: never an entry: it owns the cache, so it never counts against the bound.
 _RESOLVE_CACHE_ENTRIES = 4
 
 
@@ -234,8 +236,11 @@ class ResidueOperand(PreparedOperand):
     convert_seconds: float = 0.0
     prescale: Optional[PrescaleBounds] = None
     source: Optional[np.ndarray] = None
-    _resolved_cache: "OrderedDict[int, ResidueOperand]" = dataclasses.field(
+    _derivations: "OrderedDict[int, ResidueOperand]" = dataclasses.field(
         default_factory=OrderedDict, repr=False, compare=False
+    )
+    _origin: "Optional[weakref.ReferenceType[ResidueOperand]]" = dataclasses.field(
+        default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -248,10 +253,24 @@ class ResidueOperand(PreparedOperand):
                 "ResidueOperand.config must be concrete; preparation resolves "
                 "auto configurations before constructing the operand"
             )
-        # Seed the (shared) derivation cache with this operand's own count,
-        # so resolving back to it from a derived operand is a lookup, not a
-        # second conversion.
-        self._resolved_cache.setdefault(self.num_moduli, self)
+
+    def _root(self) -> "ResidueOperand":
+        """The operand this one was derived from, or itself.
+
+        Derived operands reach their origin through a weak reference: the
+        origin owns the derivation cache, which holds the derived operands,
+        so a strong back-reference would put every operand in a reference
+        cycle, and an operand evicted from a cache would keep its residue
+        stack and source alive until a full garbage-collection pass.  A
+        derived operand outliving its origin becomes its own root.
+        """
+        origin = None if self._origin is None else self._origin()
+        return self if origin is None else origin
+
+    @property
+    def _resolved_cache(self) -> "OrderedDict[int, ResidueOperand]":
+        """The derivation cache shared by an origin and its derivations."""
+        return self._root()._derivations
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -332,7 +351,9 @@ class ResidueOperand(PreparedOperand):
         :func:`~repro.core.scaling.fast_mode_scale_a` — see
         :func:`~repro.core.scaling.scale_from_prescale`) and the truncation
         + residue passes rerun against the stored source.  Derivations are
-        cached on the operand — LRU-bounded to the
+        cached on the origin operand and shared with every operand derived
+        from it (which resolves back to the origin's own count without a
+        conversion) — LRU-bounded to the
         :data:`_RESOLVE_CACHE_ENTRIES` most recently used counts, so a
         solver escalating through a moduli ladder pays each stage's
         conversion once while a long-lived operand cycling through many
@@ -344,9 +365,13 @@ class ResidueOperand(PreparedOperand):
         num_moduli = int(num_moduli)
         if num_moduli == self.num_moduli:
             return self
-        cached = self._resolved_cache.get(num_moduli)
+        root = self._root()
+        if num_moduli == root.num_moduli:
+            return root
+        cache = root._derivations
+        cached = cache.get(num_moduli)
         if cached is not None:
-            self._resolved_cache.move_to_end(num_moduli)
+            cache.move_to_end(num_moduli)
             return cached
         if self.prescale is None or self.source is None:
             raise ConfigurationError(
@@ -378,11 +403,11 @@ class ResidueOperand(PreparedOperand):
             convert_seconds=time.perf_counter() - start,
             prescale=self.prescale,
             source=self.source,
-            _resolved_cache=self._resolved_cache,
+            _origin=weakref.ref(root),
         )
-        self._resolved_cache[num_moduli] = derived
-        while len(self._resolved_cache) > _RESOLVE_CACHE_ENTRIES:
-            self._resolved_cache.popitem(last=False)
+        cache[num_moduli] = derived
+        while len(cache) > _RESOLVE_CACHE_ENTRIES:
+            cache.popitem(last=False)
         return derived
 
 

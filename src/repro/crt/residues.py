@@ -1,20 +1,32 @@
 """Residue kernels: ``rmod`` and ``mod`` (Sections 4.2 and 4.3).
 
-Two families of implementations are provided.
+Three families of implementations are provided.
 
 Reference kernels
-    :func:`rmod_exact` and :func:`mod_exact` use IEEE-exact remainder
-    operations (``fmod`` on floats is exact; integer ``%`` is exact), so
-    they realise the mathematical definitions
+    :func:`rmod_exact` and :func:`mod_exact` use exact integer remainders
+    (int64 ``%`` after an exact hi/lo split of large values), so they
+    realise the mathematical definitions
 
     .. math::
 
         \\mathrm{rmod}(X, p) = X - p\\,\\mathrm{round}(X/p), \\qquad
         \\mathrm{mod}(X, p)  = X - p\\,\\lfloor X/p \\rfloor
 
-    with no error.  They are the default used by the emulation.
+    with no error, one modulus at a time.  They are the oracle the
+    production kernels are tested against, and the per-modulus comparator
+    path of :func:`residues_to_int8` (``single_pass=False``).
 
-Fast kernels
+Production kernels
+    The single-pass conversion of :func:`residues_to_int8` and the exact
+    branch of :func:`uint8_residues_stack` are division-free: each residue is
+    one float64 multiply by a precomputed reciprocal, a floor and an exact
+    back-multiply, evaluated over a moduli axis broadcast against a block of
+    elements (see :func:`_rmod` for the exactness window and its proof).
+    Like the paper's kernels they avoid hardware division, but unlike them
+    they need no correction step inside the window, so they are bit-identical
+    to the reference kernels.
+
+Paper kernels
     :func:`rmod_fast_fma` reproduces the FMA/reciprocal kernel of
     Section 4.2 (built-in ``fmod`` is slow on GPUs, so the paper multiplies
     by a precomputed reciprocal, rounds, and corrects with up to two extra
@@ -49,8 +61,8 @@ __all__ = [
 _FAST_RMOD_THRESHOLDS = {64: (13, 19), 32: (5, 11)}
 
 
-#: Largest magnitude that is safely converted to int64 for the fast integer
-#: remainder path (one bit of headroom below 2**63).
+#: Largest magnitude the reference remainder converts to int64 directly
+#: (one bit of headroom below 2**63).
 _INT64_SAFE_LIMIT = 2.0**62
 
 
@@ -63,7 +75,8 @@ def _nonneg_mod_integer_valued(
     fit; larger values — which occur for many moduli, where the scaled
     matrices can exceed 2**62 — are split exactly into
     ``x = hi * 2**31 + lo`` (both parts fit int64) and recombined modulo
-    ``p``.  Either way the result is exact.
+    ``p``.  Either way the result is exact for ``|x| < 2**93``, far above
+    the about ``2**78`` the scaling produces at ``N = 20``.
 
     ``max_abs`` lets callers that reduce the *same* matrix by many moduli
     pass a precomputed ``max(|x|)``, so the full-matrix scan that selects the
@@ -213,12 +226,12 @@ def residues_to_int8(
     pinv_b, pinv32, precision_bits:
         Reciprocal tables and input precision, required by the fast kernel.
     single_pass:
-        When True (default), convert once and broadcast the remainder across
-        a leading moduli axis: the ``max(|x|)`` scan and the float64→int64
-        conversion run a single time for all ``N`` moduli instead of once
-        per modulus.  When False, fall back to the per-modulus loop (kept as
-        the pre-fusion comparator for benchmarks and bit-identity tests).
-        Both paths are exact integer arithmetic and bit-identical.
+        When True (default), run the division-free blocked kernel, which
+        broadcasts every element block across a leading moduli axis (see
+        :func:`_residues_to_int8_single_pass`).  When False, fall back to
+        the per-modulus integer-remainder loop (kept as the reference
+        comparator for benchmarks and bit-identity tests).  Both paths are
+        exact and bit-identical.
     """
     x = np.asarray(x, dtype=np.float64)
     mods = [int(p) for p in moduli]
@@ -260,6 +273,72 @@ def _residues_to_int8_loop(
     return out
 
 
+#: Elements of the flat operand axis processed per block by the
+#: division-free kernels.  One block holds an ``(N, _BLOCK)`` float64
+#: working set per temporary (about 1 MiB at ``N = 15``), small enough to
+#: stay in cache across the kernel's passes while the per-block Python
+#: overhead is amortised over ``N`` rows; 8192 measured fastest among
+#: 1k–32k on a 2-vCPU x86 host.
+_BLOCK = 8192
+
+#: Exclusive magnitude bound of the single-step reciprocal ``rmod`` window
+#: (see :func:`_rmod`).
+_RMOD_DIRECT_LIMIT = 2.0**50
+
+#: Width of the low limb split off values beyond the direct window.
+_LIMB_BITS = 26
+_LIMB = 2.0**_LIMB_BITS
+_LIMB_INV = 2.0**-_LIMB_BITS
+
+
+def _rmod(
+    x: np.ndarray,
+    p_col: np.ndarray,
+    pinv_col: np.ndarray,
+    work: np.ndarray,
+) -> np.ndarray:
+    """``x − p·⌊x·(1/p) + ½⌋`` for every row modulus, exactly.
+
+    ``p_col`` and ``pinv_col`` are ``(N, 1)`` float64 columns of moduli and
+    their rounded reciprocals; ``x`` is an integer-valued float64 block that
+    broadcasts against them (one ``(B,)`` block for all moduli, or an
+    ``(N, B)`` block with one row per modulus).  The result is computed in
+    place in the ``(N, B)`` float64 buffer ``work`` (which must not be
+    ``x``) and returned; it is the centred representative
+    ``((x + ⌊p/2⌋) mod p) − ⌊p/2⌋`` in ``[−⌊p/2⌋, p − 1 − ⌊p/2⌋]``.
+
+    **Exactness window: |x| < 2^50, p odd or a power of two.**  Let
+    ``u = 2^-53``.  The computed ``y = fl(fl(x·fl(1/p)) + ½)`` carries three
+    roundings of relative size ``u`` each, so
+    ``|y − (x/p + ½)| ≤ (3u + 4u²)·|x/p| + u/2``.  For odd ``p`` the exact
+    value ``(2x + p)/(2p)`` has an odd numerator, so it lies at least
+    ``1/(2p)`` from every integer; the floor is therefore exact whenever
+    ``(3u + 4u²)·|x| + p·u/2 < ½``, which holds with a 25% margin for
+    ``|x| < 2^50`` (the left side is below ``3/8 + 2^-45``).  For
+    ``p = 2^s`` every step is exact: ``1/p`` is a power of two and
+    ``x/p + ½`` is a multiple of ``2^-s`` below ``2^50``, so the ``+p/2``
+    ties land on ``−p/2``, exactly as the INT8 wrap of ``+128`` does.  The
+    quotient ``q`` satisfies ``|q·p| < 2^50 + p``, so the back-multiply and
+    the final subtraction are exact integer operations as well.
+    """
+    np.multiply(x, pinv_col, out=work)
+    work += 0.5
+    np.floor(work, out=work)
+    work *= p_col
+    return np.subtract(x, work, out=work)
+
+
+def _limb_count(max_abs: float) -> int:
+    """Number of ``2^26`` limbs to split off before the top part of every
+    value bounded by ``max_abs`` fits the direct ``rmod`` window."""
+    count = 0
+    while max_abs >= _RMOD_DIRECT_LIMIT:
+        # floor() can grow a negative top part by at most one.
+        max_abs = max_abs * _LIMB_INV + 1.0
+        count += 1
+    return count
+
+
 def _residues_to_int8_single_pass(
     x: np.ndarray,
     mods: "list[int]",
@@ -268,61 +347,61 @@ def _residues_to_int8_single_pass(
     pinv32: np.ndarray | None,
     precision_bits: int,
 ) -> np.ndarray:
-    """Single-pass conversion of the exact kernel for all ``N`` moduli.
+    """Division-free conversion of the exact kernel for all ``N`` moduli.
 
-    The ``max(|x|)`` scan and the float64→int64 conversion run **once** and
-    serve every modulus; each residue is then produced entirely in the
-    integer domain with the shifted remainder
+    The flat element axis is processed in blocks of :data:`_BLOCK`
+    elements; within a block every modulus is computed at once by
+    broadcasting the block against ``(N, 1)`` modulus and reciprocal
+    columns (:func:`_rmod`), and the result is cast into the INT8 output.
+    The same loop serves ``(m, k)`` matrices, batched stacks and 1-D GEMV
+    vectors.
 
-        ``rmod(x, p) = ((x + ⌊p/2⌋) mod p) − ⌊p/2⌋``
+    Values with ``|x| < 2^50`` take one reciprocal ``rmod`` per modulus.
+    Larger values (fp64 inputs reach about ``2^57`` at ``N = 15``) are split
+    once per block into limbs: ``xh = ⌊x·2^-26⌋`` and
+    ``xl = x − xh·2^26 ∈ [0, 2^26)`` — both exact, since scaling by a power
+    of two and subtracting to a representable integer are exact — and each
+    modulus evaluates ``rmod(rmod(xh, p)·(2^26 mod p) + xl, p)``, whose
+    inner sum stays below ``2^27``.  The split repeats on ``xh`` until the
+    top limb is inside the direct window, so every finite input is
+    converted exactly.  The result equals the per-modulus loop bit for bit.
 
-    which yields the centred representative directly — no float64
-    round-trip, no separate centring pass, and ``+p/2`` lands on ``−p/2``
-    for even ``p`` exactly as the INT8 wrap does.  The result is
-    bit-identical to the per-modulus loop.  The remainder itself runs per
-    modulus with a *scalar* divisor: NumPy's scalar-divisor inner loop is
-    several times faster than a broadcast against an ``(N, 1, ...)``
-    divisor array, so looping the one cheap op beats broadcasting the
-    whole chain.
-
-    The fast-FMA kernel delegates to the loop: it is pure per-modulus
-    floating-point arithmetic with no shared scan or conversion to hoist,
-    and stacking it only adds temporary-array pressure.
+    The per-modulus loop serves the fast-FMA kernel (pure per-modulus
+    floating-point arithmetic with nothing to share), non-finite inputs,
+    and user moduli that are even but not a power of two — the one case
+    where the ``+½`` tie of :func:`_rmod` is not resolved exactly.
     """
-    if kernel == "fast_fma":
+    if kernel == "fast_fma" or any(p % 2 == 0 and p & (p - 1) for p in mods):
         return _residues_to_int8_loop(x, mods, kernel, pinv_b, pinv32, precision_bits)
-
-    out = np.empty((len(mods),) + x.shape, dtype=np.int8)
-    max_abs = float(np.max(np.abs(x))) if x.size else 0.0
-    if max_abs < _INT64_SAFE_LIMIT:
-        xi = x.astype(np.int64)
-        scratch = np.empty_like(xi)
-        for i, p in enumerate(mods):
-            half = p // 2
-            # |xi| < 2**62, so the +half shift cannot overflow int64.
-            np.add(xi, half, out=scratch)
-            np.remainder(scratch, p, out=scratch)
-            scratch -= half
-            out[i] = scratch.astype(np.int8)
-        return out
-
-    # Beyond the int64-safe limit: the same exact hi/lo split as
-    # _nonneg_mod_integer_valued, performed once for all moduli.
-    hi = np.floor(np.ldexp(x, -31))
-    lo = x - np.ldexp(hi, 31)
-    hi_i64 = hi.astype(np.int64)
-    lo_i64 = lo.astype(np.int64)
-    for i, p in enumerate(mods):
-        half = p // 2
-        shift_mod = pow(2, 31, p)
-        hi_mod = np.remainder(hi_i64, p)
-        lo_mod = np.remainder(lo_i64, p)
-        # hi_mod, lo_mod < p <= 256 and shift_mod < p, so the combination
-        # stays far below the int64 range.
-        r = np.remainder(hi_mod * shift_mod + lo_mod + half, p)
-        r -= half
-        out[i] = r.astype(np.int8)
-    return out
+    flat = x.reshape(-1)
+    out = np.empty((len(mods), flat.size), dtype=np.int8)
+    max_abs = float(np.max(np.abs(flat))) if flat.size else 0.0
+    if not np.isfinite(max_abs):
+        return _residues_to_int8_loop(x, mods, kernel, pinv_b, pinv32, precision_bits)
+    num_limbs = _limb_count(max_abs)
+    p_col = np.array(mods, dtype=np.float64)[:, None]
+    pinv_col = 1.0 / p_col
+    limb_col = np.array([pow(2, _LIMB_BITS, p) for p in mods], dtype=np.float64)[:, None]
+    width = min(_BLOCK, flat.size)
+    buffers = (
+        np.empty((len(mods), width), dtype=np.float64),
+        np.empty((len(mods), width), dtype=np.float64),
+    )
+    for start in range(0, flat.size, _BLOCK):
+        top = flat[start:start + _BLOCK]
+        cols = top.size
+        limbs: list[np.ndarray] = []
+        for _ in range(num_limbs):
+            high = np.floor(top * _LIMB_INV)
+            limbs.append(top - high * _LIMB)
+            top = high
+        residue = _rmod(top, p_col, pinv_col, buffers[0][:, :cols])
+        for depth, low in enumerate(reversed(limbs), start=1):
+            residue *= limb_col
+            residue += low
+            residue = _rmod(residue, p_col, pinv_col, buffers[depth % 2][:, :cols])
+        np.copyto(out[:, start:start + cols], residue, casting="unsafe")
+    return out.reshape((len(mods),) + x.shape)
 
 
 def uint8_residues(c_int32: np.ndarray, p: int, pinv_prime: int | None = None) -> np.ndarray:
@@ -348,25 +427,63 @@ def uint8_residues_stack(
 
     ``c_stack`` is the ``(N, m, n)`` integer residue-product stack; entry
     ``i`` is reduced by modulus ``moduli[i]``.  Bit-identical to calling
-    :func:`uint8_residues` per modulus, without the per-call int64
-    casts and UINT8/float round-trips: each remainder runs with a scalar
-    divisor (NumPy's fastest inner loop) straight into the output stack.
-    When ``pinv_prime`` (the ``⌊2^32/p_i − 1⌋`` table) is given, the
-    ``__mulhi`` fast kernel of Section 4.3 is used instead of the exact
-    remainder.
+    :func:`uint8_residues` per modulus.  When ``pinv_prime`` (the
+    ``⌊2^32/p_i − 1⌋`` table) is given, the ``__mulhi`` fast kernel of
+    Section 4.3 is used per modulus.
 
-    ``out`` may supply a preallocated ``c_stack.shape`` array of any dtype
-    that can represent ``[0, 255]``; the fused accumulation passes a
-    float64 stack so the residues land in their final representation with
-    no separate widening pass.  Without ``out``, a UINT8 stack is returned.
+    Otherwise the stack is reduced division-free, in the blocked
+    moduli-broadcast loop of the conversion: each block of ``C'`` is widened
+    to float64 and ``u = c − p·⌊(c + ½)·(1/p)⌋`` is evaluated against
+    ``(N, 1)`` modulus and reciprocal columns, the last step writing
+    straight into the output.  **Exactness window: |c| < 2^50**, which
+    covers every INT32 product and every INT64 sum of k-blocked partials a
+    real run produces.  Proof: ``(c + ½)/p = (2c + 1)/(2p)`` has an odd
+    numerator, so it lies at least ``1/(2p)`` from every integer — for
+    every ``p``, even or odd, and in particular exact multiples of ``p``
+    sit half a step above the floor boundary.  The computed quotient
+    ``fl(fl(c + ½)·fl(1/p))`` — ``c + ½`` itself is exact — carries two
+    roundings of relative size ``u = 2^-53``, an absolute error of at most
+    ``(2u + u²)·|c + ½|/p``, which is below ``1/(4p)`` for ``|c| < 2^50``;
+    so the floor is exact, and the back-multiply and subtraction are exact
+    integer operations yielding ``c mod p ∈ [0, p)``.  Stacks of a dtype
+    wider than INT32 are checked against the window.
+
+    ``out`` may supply a preallocated C-contiguous ``c_stack.shape`` array
+    of any dtype that can represent ``[0, 255]``; the fused accumulation
+    passes a float64 stack so the residues land in their final
+    representation with no separate widening pass.  Without ``out``, a
+    UINT8 stack is returned.
     """
     c = np.asarray(c_stack)
     u = out if out is not None else np.empty(c.shape, dtype=np.uint8)
-    if pinv_prime is None:
-        p_dtype = c.dtype.type
-        for i, p in enumerate(moduli):
-            u[i] = np.remainder(c[i], p_dtype(p))
-    else:
+    if pinv_prime is not None:
         for i, p in enumerate(moduli):
             u[i] = mod_fast_mulhi(c[i], p, int(pinv_prime[i]))
+        return u
+    num_moduli = len(moduli)
+    flat_c = c.reshape(num_moduli, -1)
+    size = flat_c.shape[1]
+    if size == 0:
+        return u
+    if c.dtype.itemsize > 4 or not np.issubdtype(c.dtype, np.integer):
+        peak = float(np.max(np.abs(flat_c)))
+        if not peak < _RMOD_DIRECT_LIMIT:
+            raise ValueError(
+                f"residue products of magnitude {peak:g} exceed the exact "
+                "reduction window |c| < 2**50"
+            )
+    if not u.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array")
+    flat_u = u.reshape(num_moduli, -1)
+    p_col = np.array([int(p) for p in moduli], dtype=np.float64)[:, None]
+    pinv_col = 1.0 / p_col
+    scratch = np.empty((num_moduli, min(_BLOCK, size)), dtype=np.float64)
+    for start in range(0, size, _BLOCK):
+        block = flat_c[:, start:start + _BLOCK]
+        q = scratch[:, :block.shape[1]]
+        np.add(block, 0.5, out=q)
+        q *= pinv_col
+        np.floor(q, out=q)
+        q *= p_col
+        np.subtract(block, q, out=flat_u[:, start:start + _BLOCK], casting="unsafe")
     return u

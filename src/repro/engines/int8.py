@@ -9,12 +9,17 @@ engine.
 
 Two computation paths are provided:
 
-* ``use_blas=True`` (default): operands are promoted to float64 and
-  multiplied with BLAS.  Because ``|a| <= 128``, ``|b| <= 128`` and
-  ``k <= 2**17``, every exact inner product is bounded by ``2**31`` and is
-  therefore exactly representable in float64 (well below ``2**53``); the
-  result is then reduced modulo ``2**32`` to reproduce the hardware
-  wraparound bit-for-bit.  This path is typically 10-50x faster on CPUs.
+* ``use_blas=True`` (default): the product runs at the narrowest exact
+  floating-point width, float32 SGEMM (:func:`_sgemm_int32`).  Every
+  prepared entry satisfies ``|a|, |b| <= 128``, so each term is at most
+  ``2**14`` in magnitude and every partial sum of at most
+  ``_SGEMM_EXACT_K = 1024`` terms is an integer of magnitude at most
+  ``2**24`` — exactly representable in float32.  No rounding can occur in
+  any summation order BLAS picks, so a ``k <= 1024`` product is one exact
+  stacked SGEMM.  Larger ``k`` is cut into 1024-wide chunks, each an exact
+  SGEMM converted to int32, and the chunks are summed in int32, which
+  wraps modulo ``2**32`` exactly like the hardware accumulator — so the
+  result is bit-identical to the integer reference at every ``k``.
 * ``use_blas=False``: operands are multiplied directly with NumPy integer
   arithmetic (int32 accumulators with native wraparound).  This is the
   byte-level reference used in the test suite to validate the fast path.
@@ -39,6 +44,35 @@ __all__ = ["Int8MatrixEngine"]
 #: exceed the INT32 range by more than the single harmless 2**31 case.
 _MAX_EXACT_K = 2**17
 
+#: Widest k-chunk one float32 product covers exactly: ``1024 * 2**14 = 2**24``
+#: bounds every partial sum, and float32 represents every integer up to it.
+_SGEMM_EXACT_K = 1024
+
+
+def _sgemm_int32(a8: np.ndarray, b8: np.ndarray) -> np.ndarray:
+    """Exact INT32-wrapping product of INT8 operands via float32 SGEMM.
+
+    ``a8`` is ``(..., m, k)`` and ``b8`` is ``(..., k, n)``, both INT8 (or
+    integer-valued with ``|x| <= 128``).  Each 1024-wide k-chunk is promoted
+    to float32 and multiplied in one (stacked) SGEMM whose partial sums stay
+    within ``±2**24`` and are therefore exact; the int32 chunk results are
+    summed with two's-complement wraparound, so the result equals the
+    integer reference bit for bit at every ``k`` (including the ``2**31``
+    boundary at ``k = 2**17``).
+    """
+
+    def chunk(start: int) -> np.ndarray:
+        stop = start + _SGEMM_EXACT_K
+        return np.matmul(
+            a8[..., start:stop].astype(np.float32),
+            b8[..., start:stop, :].astype(np.float32),
+        ).astype(np.int32)
+
+    out = chunk(0)
+    for start in range(_SGEMM_EXACT_K, a8.shape[-1], _SGEMM_EXACT_K):
+        out += chunk(start)
+    return out
+
 
 class Int8MatrixEngine(MatrixEngine):
     """Simulated INT8 Tensor Core (INT8 inputs, INT32 accumulation).
@@ -46,7 +80,7 @@ class Int8MatrixEngine(MatrixEngine):
     Parameters
     ----------
     use_blas:
-        Select the float64/BLAS-backed fast path (exact, default) or the
+        Select the float32 SGEMM fast path (exact, default) or the
         pure-integer reference path.
     strict_k:
         If True (default), refuse inner dimensions above ``2**17`` with
@@ -93,20 +127,25 @@ class Int8MatrixEngine(MatrixEngine):
                 "(core.blocking) or construct the engine with strict_k=False"
             )
         if self.use_blas:
-            return self._compute_blas(a, b)
+            return _sgemm_int32(a, b)
         return self._compute_integer(a, b)
 
     # -- fused stacked path ---------------------------------------------------
     def matmul_stack(self, a: np.ndarray, b: np.ndarray, trusted: bool = False) -> np.ndarray:
         """Fused batched product ``(N, m, k) @ (N, k, n) -> (N, m, n)``.
 
-        Unlike the generic per-slice fallback, this override converts each
-        residue stack to float64 **once** and issues a single stacked
-        BLAS-backed :func:`numpy.matmul`, so the ``N`` residue GEMMs of one
-        modulus chunk cost one engine call's worth of Python/NumPy overhead.
-        The INT32 wraparound reduction is applied only when the inner
-        dimension can actually reach the accumulator boundary (see
-        :meth:`_wrap_int32`).
+        Unlike the generic per-slice fallback, this override issues the
+        ``N`` residue GEMMs of one modulus chunk as a single stacked float32
+        SGEMM per 1024-wide k-chunk (:func:`_sgemm_int32`), so they cost one
+        engine call's worth of Python/NumPy overhead.  Exactness window:
+        ``|a|, |b| <= 128`` bounds every partial sum of a ``k <= 1024``
+        chunk by ``2**24``, which float32 represents exactly in any
+        summation order; chunks are summed in wrapping int32, which is the
+        hardware accumulator's own arithmetic.  So the result is
+        bit-identical to ``N`` separate :meth:`~repro.engines.base.
+        MatrixEngine.matmul` calls and to the ``use_blas=False`` integer
+        reference at every ``k``, and the op ledger records the same ``N``
+        GEMMs.
 
         ``trusted=True`` additionally skips the per-call validation sweeps
         when the operands are already INT8 — the contract for residue stacks
@@ -114,9 +153,7 @@ class Int8MatrixEngine(MatrixEngine):
         conversion.residue_slices` and prepared operands), whose values are
         in range by construction.  Operands of any other dtype are validated
         regardless of the flag, so external callers keep full validation by
-        default.  Results are bit-identical to ``N`` separate
-        :meth:`~repro.engines.base.MatrixEngine.matmul` calls, and the op
-        ledger records the same ``N`` GEMMs.
+        default.
         """
         a = np.asarray(a)
         b = np.asarray(b)
@@ -134,11 +171,9 @@ class Int8MatrixEngine(MatrixEngine):
             a8 = self._prepare(a, "A")
             b8 = self._prepare(b, "B")
         if self.use_blas:
-            prod = np.matmul(a8.astype(np.float64), b8.astype(np.float64))
-            out = self._wrap_int32(prod, k)
+            out = _sgemm_int32(a8, b8)
         else:
-            with np.errstate(over="ignore"):
-                out = np.matmul(a8.astype(np.int32), b8.astype(np.int32)).astype(np.int32)
+            out = self._compute_integer(a8, b8)
         self.counter.record_matmul(
             m,
             n,
@@ -154,22 +189,21 @@ class Int8MatrixEngine(MatrixEngine):
         """Fused batched GEMV ``(N, m, k) @ (N, k) -> (N, m)``.
 
         The ``n = 1`` products are bandwidth-bound on the INT8 residue
-        stack, so promoting it to float64 for BLAS — the right call for
-        GEMM, where the arithmetic amortises the 8x promotion traffic —
+        stack, so promoting it to floating point for BLAS — the right call
+        for GEMM, where the arithmetic amortises the promotion traffic —
         costs more than the whole product here.  This override instead
         contracts the INT8 operands directly with an INT32-accumulating
         :func:`numpy.einsum`, reading the stack once at one byte per
-        element (measured ~12x faster than the float64 stacked matmul at
-        4096² on one core).
+        element.
 
         INT32 accumulation wraps in two's complement exactly like the
         hardware accumulator: every partial sum is congruent modulo 2**32
-        regardless of order, so the result is bit-identical to the float64
-        path's :meth:`_wrap_int32` reduction for every ``k`` the engine
-        accepts (only ``k = 2**17`` can reach the ``±2**31`` boundary,
-        Section 4.3).  ``trusted`` has the :meth:`matmul_stack` contract:
-        INT8 stacks produced by this library's own conversion skip the
-        per-call validation sweeps; any other dtype is validated regardless.
+        regardless of order, so the result is bit-identical to the GEMM
+        path's int32 chunk sums for every ``k`` the engine accepts (only
+        ``k = 2**17`` can reach the ``±2**31`` boundary, Section 4.3).
+        ``trusted`` has the :meth:`matmul_stack` contract: INT8 stacks
+        produced by this library's own conversion skip the per-call
+        validation sweeps; any other dtype is validated regardless.
         The op ledger records the same ``N`` GEMVs as the generic fallback.
         """
         a = np.asarray(a)
@@ -198,37 +232,7 @@ class Int8MatrixEngine(MatrixEngine):
         )
         return out
 
-    @staticmethod
-    def _wrap_int32(prod: np.ndarray, k: int) -> np.ndarray:
-        """Reduce exact float64 products into the signed INT32 range.
-
-        Every prepared operand entry is bounded by ``|a|, |b| <= 128``, so an
-        exact inner product over ``k`` terms is bounded by
-        ``k * 128 * 128 = k * 2**14``.  For ``k < 2**17`` that bound is
-        strictly below ``2**31``: every product already lies inside the INT32
-        range, the wraparound reduction is the identity, and the two
-        full-array ``mod``/``where`` passes can be skipped — the plain cast
-        is exact.  Only ``k >= 2**17`` can reach ``±2**31`` (the single
-        boundary case of Section 4.3 at ``k = 2**17``) and takes the
-        reduction.
-        """
-        if k < _MAX_EXACT_K:
-            return prod.astype(np.int32)
-        wrapped = np.mod(prod, 4294967296.0)
-        wrapped = np.where(wrapped >= 2147483648.0, wrapped - 4294967296.0, wrapped)
-        return wrapped.astype(np.int32)
-
-    # -- computation paths ---------------------------------------------------
-    @staticmethod
-    def _compute_blas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact product via float64 BLAS, then INT32 wraparound."""
-        prod = np.matmul(a.astype(np.float64), b.astype(np.float64))
-        # Reduce modulo 2**32 into the signed INT32 range to emulate the
-        # hardware accumulator wraparound (only reachable at k = 2**17).
-        wrapped = np.mod(prod, 4294967296.0)
-        wrapped = np.where(wrapped >= 2147483648.0, wrapped - 4294967296.0, wrapped)
-        return wrapped.astype(np.int32)
-
+    # -- reference path ------------------------------------------------------
     @staticmethod
     def _compute_integer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Reference integer product with native int32 wraparound."""

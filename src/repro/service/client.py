@@ -44,6 +44,7 @@ import random
 import socket
 import threading
 import time
+import weakref
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
@@ -154,7 +155,7 @@ class ServiceClient:
         self.deadline = None if deadline is None else float(deadline)
         self._retry_rng = random.Random(int(retry_seed))
         self._known: Set[Tuple[str, str]] = set()
-        self._fingerprints: Dict[int, str] = {}
+        self._fingerprints: Dict[int, Tuple["weakref.ReferenceType[np.ndarray]", str]] = {}
         self._lock = named_lock("service.client._lock")
         self._local = threading.local()
 
@@ -259,25 +260,33 @@ class ServiceClient:
 
     # -- operand negotiation -------------------------------------------------
     def _fingerprint(self, array: np.ndarray) -> str:
-        """Content fingerprint, memoised per array object identity.
+        """Content fingerprint, memoised per live array object.
 
-        The id-keyed memo only short-circuits re-hashing when the *same
-        object* is reused (the service workload's common case); a mutated
-        or different array object is always re-hashed.
+        The memo short-circuits re-hashing when the *same object* is sent
+        again (the service workload's common case).  Each entry keeps a
+        weak reference to the array it was computed for, and a lookup hits
+        only while that referent is alive and is the array being sent: an
+        ``id`` recycled by a new array after the old one was freed is a
+        miss, never a stale fingerprint.  An array mutated in place after
+        it was sent keeps its memoised fingerprint — send a new array for
+        new contents.
         """
         from ..core.operand import matrix_fingerprint
 
         key = id(array)
         with self._lock:
-            cached = self._fingerprints.get(key)
-        if cached is not None:
-            return cached
+            entry = self._fingerprints.get(key)
+        if entry is not None and entry[0]() is array:
+            return entry[1]
         fingerprint = matrix_fingerprint(array)
+        self._remember_fingerprint(array, fingerprint)
+        return fingerprint
+
+    def _remember_fingerprint(self, array: np.ndarray, fingerprint: str) -> None:
         with self._lock:
             if len(self._fingerprints) > 4096:
                 self._fingerprints.clear()
-            self._fingerprints[key] = fingerprint
-        return fingerprint
+            self._fingerprints[id(array)] = (weakref.ref(array), fingerprint)
 
     def _encode_operand(
         self,
@@ -466,10 +475,9 @@ class ServiceClient:
                 str(error.get("code", "unknown")), str(error.get("message", ""))
             )
         self._learn(resp_header, {"x": side.upper()})
-        with self._lock:
-            self._fingerprints[id(x)] = str(
-                (resp_header.get("learned") or {}).get("x", "")
-            )
+        self._remember_fingerprint(
+            array, str((resp_header.get("learned") or {}).get("x", ""))
+        )
         return dict(resp_header.get("result", {}))
 
     def _get_json(self, path: str) -> Dict[str, object]:

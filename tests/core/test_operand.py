@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +232,28 @@ class TestResolveCache:
             prep.resolve_for(4)  # touch 4: it stays most-recently-used
             prep.resolve_for(count)
         assert 4 in prep._resolved_cache
+
+    def test_derived_resolves_back_to_live_origin(self, small_pair):
+        a, _ = small_pair
+        prep = prepare_a(a, config=Ozaki2Config.for_dgemm(15))
+        derived = prep.resolve_for(8)
+        # Churn the LRU: the origin is never an entry, so it cannot be
+        # evicted and resolving back to it never re-converts.
+        for count in range(2, 8):
+            derived.resolve_for(count)
+        assert derived.resolve_for(15) is prep
+        assert prep.resolve_for(8).resolve_for(15) is prep
+
+    def test_derived_outliving_origin_stays_usable(self, small_pair):
+        a, _ = small_pair
+        prep = prepare_a(a, config=Ozaki2Config.for_dgemm(15))
+        derived = prep.resolve_for(8)
+        slices = prep.slices.copy()
+        del prep
+        gc.collect()
+        again = derived.resolve_for(15)
+        np.testing.assert_array_equal(again.slices, slices)
+        assert derived.resolve_for(15) is again
 
     def test_derived_operands_share_one_cache(self, small_pair):
         a, _ = small_pair

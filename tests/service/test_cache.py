@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +113,24 @@ class TestLRU:
         assert cache_key("A", matrix_fingerprint(b), cfg) not in cache
         assert cache_key("A", matrix_fingerprint(c), cfg) in cache
         assert cache.counter.cache_evictions == 1
+
+    def test_evicted_operand_is_freed_without_gc(self, cfg):
+        """Prepared operands hold no reference cycle: an evicted entry (and
+        every operand derived from it) is released by reference counting
+        at eviction, not at some later generation-2 collection."""
+        entry = _entry_bytes(cfg)
+        cache = OperandCache(capacity_bytes=entry + entry // 2)
+        gc.disable()
+        try:
+            first = weakref.ref(cache.get_or_prepare(_matrix(20), "A", cfg))
+            derived = weakref.ref(first().resolve_for(6))
+            assert first() is not None and derived() is not None
+            cache.get_or_prepare(_matrix(21), "A", cfg)
+            assert cache.counter.cache_evictions == 1
+            assert first() is None
+            assert derived() is None
+        finally:
+            gc.enable()
 
     def test_hit_is_bit_identical_to_cold_miss(self, cfg):
         a = _matrix(13)

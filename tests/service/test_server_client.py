@@ -139,6 +139,25 @@ class TestNegotiation:
                 result = cli.gemv(a1, x)
                 assert np.array_equal(result.value, prepared_gemv(a1, x, config=CFG))
 
+    def test_recycled_array_id_is_not_a_stale_fingerprint(self, server, client, rng):
+        """A new array that inherits a freed array's ``id`` must be hashed
+        and sent on its own contents, not as a reference to the freed one."""
+        x = rng.standard_normal(24)
+        old = rng.standard_normal((24, 24))
+        client.gemv(old, x)  # memoise and learn old's fingerprint
+        old_id = id(old)
+        del old
+        keep = []
+        for _ in range(10000):
+            candidate = rng.standard_normal((24, 24))
+            if id(candidate) == old_id:
+                break
+            keep.append(candidate)  # hold it so its id is not recycled
+        else:
+            raise AssertionError("could not force id reuse")
+        result = client.gemv(candidate, x)
+        assert np.array_equal(result.value, prepared_gemv(candidate, x, config=CFG))
+
     def test_fingerprints_disabled_always_uploads(self, server, rng):
         with ServiceClient(port=server.port, use_fingerprints=False) as cli:
             a = rng.standard_normal((16, 16))
