@@ -7,8 +7,9 @@ prepared 4096x4096 system matrix — the exact product every iteration of the
 
 * ``gemv_fast_path=True`` (default): the dedicated
   :func:`repro.core.gemv.prepared_gemv` kernel — one fused stacked engine
-  GEMV (INT32-accumulating einsum, no float32 promotion of the residue
-  stack), vector-shaped conversion, no plan/scheduler machinery;
+  GEMV (exact float32 SGEMV per 1024-wide k-chunk over ~1 MiB row blocks
+  promoted into one reused buffer, never a float32 copy of the whole
+  residue stack), vector-shaped conversion, no plan/scheduler machinery;
 * ``gemv_fast_path=False``: the full ``n = 1`` GEMM route, kept in-tree as
   the verification comparator.
 

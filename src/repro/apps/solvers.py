@@ -31,13 +31,16 @@ Four solvers are provided:
   trailing updates, see :mod:`repro.apps.lu`), then refinement steps whose
   residuals ``r = b − A·x`` run through the prepared emulated GEMM.
 
-All three accept a shared :class:`~repro.runtime.scheduler.Scheduler` via
-``config.parallelism`` internally: one warm worker pool serves every
-iteration's residue GEMMs.
+Every solver runs its iterations on one
+:class:`~repro.runtime.scheduler.Scheduler`: the caller's ``scheduler=``,
+whose engine then retires (and whose ledger records) every residue
+product — :meth:`repro.session.Session.solve` passes its own — or else a
+private one sized by ``config.parallelism`` and closed on return.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from typing import List, Optional
@@ -304,6 +307,17 @@ def _solver_config(config: Optional[Ozaki2Config]) -> Ozaki2Config:
     return config or Ozaki2Config.for_dgemm()
 
 
+def _solver_scheduler(config: Ozaki2Config, scheduler: Optional[Scheduler]):
+    """The caller's scheduler (left open), or a private one closed on exit."""
+    if scheduler is not None:
+        return contextlib.nullcontext(scheduler)
+    return Scheduler(
+        parallelism=config.parallelism,
+        executor=config.executor,
+        max_pool_rebuilds=config.max_pool_rebuilds,
+    )
+
+
 def _check_max_iter(max_iter: int) -> int:
     """At least one iteration, so the reported residual is always measured."""
     max_iter = int(max_iter)
@@ -359,6 +373,7 @@ def jacobi_solve(
     omega: float = 1.0,
     progressive: bool = False,
     prepared: Optional[PreparedOperand] = None,
+    scheduler: Optional[Scheduler] = None,
 ) -> SolveResult:
     """Jacobi iteration ``x ← x + D⁻¹(b − A·x)`` with emulated residuals.
 
@@ -428,11 +443,7 @@ def jacobi_solve(
     history: List[float] = []
     moduli: List[int] = []
     converged = False
-    with Scheduler(
-        parallelism=config.parallelism,
-        executor=config.executor,
-        max_pool_rebuilds=config.max_pool_rebuilds,
-    ) as sched:
+    with _solver_scheduler(config, scheduler) as sched:
         for _ in range(max_iter):
             residual = b - prepared_matvec(prep_cur, x, cfg_cur, sched)
             rel = float(np.linalg.norm(residual)) / b_norm
@@ -486,6 +497,7 @@ def cg_solve(
     omega: float = 1.0,
     progressive: bool = False,
     prepared: Optional[PreparedOperand] = None,
+    scheduler: Optional[Scheduler] = None,
 ) -> SolveResult:
     """Conjugate gradients for SPD ``A`` with emulated ``A·p`` products.
 
@@ -519,6 +531,7 @@ def cg_solve(
         omega=omega,
         progressive=progressive,
         prepared=prepared,
+        scheduler=scheduler,
         _method_label="cg" if unpreconditioned else None,
     )
 
@@ -534,6 +547,7 @@ def pcg_solve(
     omega: float = 1.0,
     progressive: bool = False,
     prepared: Optional[PreparedOperand] = None,
+    scheduler: Optional[Scheduler] = None,
     _method_label: Optional[str] = None,
 ) -> SolveResult:
     """Preconditioned conjugate gradients with emulated ``A·p`` products.
@@ -604,11 +618,7 @@ def pcg_solve(
     history: List[float] = []
     moduli: List[int] = []
     converged = False
-    with Scheduler(
-        parallelism=config.parallelism,
-        executor=config.executor,
-        max_pool_rebuilds=config.max_pool_rebuilds,
-    ) as sched:
+    with _solver_scheduler(config, scheduler) as sched:
 
         def _restart():
             """(Re)start the recurrence from x at the current count."""
@@ -703,6 +713,7 @@ def iterative_refinement_solve(
     emulated_factorization: bool = False,
     progressive: bool = False,
     prepared: Optional[PreparedOperand] = None,
+    scheduler: Optional[Scheduler] = None,
 ) -> SolveResult:
     """LU once, then refinement steps with emulated residuals.
 
@@ -766,11 +777,7 @@ def iterative_refinement_solve(
     history: List[float] = []
     moduli: List[int] = []
     converged = False
-    with Scheduler(
-        parallelism=config.parallelism,
-        executor=config.executor,
-        max_pool_rebuilds=config.max_pool_rebuilds,
-    ) as sched:
+    with _solver_scheduler(config, scheduler) as sched:
         for _ in range(max_iter):
             residual = b - prepared_matvec(prep_cur, x, cfg_cur, sched)
             rel = float(np.linalg.norm(residual)) / b_norm

@@ -648,8 +648,10 @@ def _kernels_match_oracle(moduli) -> bool:
         # if a float32 chunk were wider than exact.
         a8[:, 0, :] = b8[:, :, 0] = -128
         a8[:, 0, 0] = b8[:, 0, 0] = 1
+        v8 = b8[:, :, 0]
         fast, ref = Int8MatrixEngine(), Int8MatrixEngine(use_blas=False)
         ok = ok and np.array_equal(fast.matmul_stack(a8, b8), ref.matmul_stack(a8, b8))
+        ok = ok and np.array_equal(fast.matvec_stack(a8, v8), ref.matvec_stack(a8, v8))
         ok = ok and fast.counter.as_dict() == ref.counter.as_dict()
     return bool(ok)
 
@@ -751,8 +753,8 @@ def _cmd_selfcheck(args) -> int:
 
     checks.append(
         (
-            "division-free conversion/U-stack and SGEMM engine match the "
-            "oracle loop and integer engine (split threshold, k=1024/1025)",
+            "division-free conversion/U-stack and SGEMM/SGEMV engine match "
+            "the oracle loop and integer engine (split threshold, k=1024/1025)",
             _kernels_match_oracle(table.moduli),
             "",
         )

@@ -15,10 +15,12 @@ stack's memory traffic for a product that performs only ``N·m·k`` MACs).
   (:func:`repro.crt.residues.residues_to_int8` on the 1-D ``x'``),
 * the ``N`` residue GEMVs issue as **one** fused
   :meth:`~repro.engines.base.MatrixEngine.matvec_stack` engine call per
-  k-block (the INT8 engine contracts the stack with an INT32-accumulating
-  einsum — no floating-point promotion),
+  k-block (the INT8 engine runs exact float32 SGEMVs over 1024-wide
+  k-chunks, promoting one ~1 MiB row block at a time into a reused buffer,
+  so the stack is read once at one byte per element and never copied
+  whole),
 * no plan, no scheduler, no tiling: the transient workspace is one
-  ``(N, m)`` stack.
+  ``(N, m)`` stack plus the engine's one block buffer.
 
 The result is **bit-identical** to the ``n = 1`` GEMM route for every
 configuration, and the op ledger records exactly the same ``N`` residue

@@ -19,10 +19,17 @@ Two computation paths are provided:
   stacked SGEMM.  Larger ``k`` is cut into 1024-wide chunks, each an exact
   SGEMM converted to int32, and the chunks are summed in int32, which
   wraps modulo ``2**32`` exactly like the hardware accumulator — so the
-  result is bit-identical to the integer reference at every ``k``.
+  result is bit-identical to the integer reference at every ``k``.  The
+  stacked GEMV (:meth:`Int8MatrixEngine.matvec_stack`) uses the same window
+  with float32 SGEMV (:func:`_sgemv_int32`): it promotes one ~1 MiB row
+  block of one modulus at a time into a reused float32 buffer instead of
+  the whole stack, because a GEMV has too little arithmetic to amortise a
+  full float32 copy.
 * ``use_blas=False``: operands are multiplied directly with NumPy integer
-  arithmetic (int32 accumulators with native wraparound).  This is the
-  byte-level reference used in the test suite to validate the fast path.
+  arithmetic (int32 accumulators with native wraparound; an
+  INT32-accumulating :func:`numpy.einsum` for the stacked GEMV).  This is
+  the byte-level reference used in the test suite to validate the fast
+  path.
 
 Section 4.3 of the paper discusses the only overflow case (``k = 2**17`` and
 ``p_1 = 256`` can reach exactly ``2**31``) and shows it is harmless because
@@ -74,13 +81,55 @@ def _sgemm_int32(a8: np.ndarray, b8: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Float32 elements of the reused promotion buffer of :func:`_sgemv_int32`
+#: (``2**18`` elements, 1 MiB).
+_SGEMV_BLOCK_ELEMS = 2**18
+
+
+def _sgemv_int32(a8: np.ndarray, v8: np.ndarray) -> np.ndarray:
+    """Exact INT32-wrapping stacked GEMV of INT8 operands via float32 SGEMV.
+
+    ``a8`` is ``(N, m, k)`` and ``v8`` is ``(N, k)``, both INT8 with any
+    strides.  The stack is walked one modulus at a time, in row blocks of
+    about :data:`_SGEMV_BLOCK_ELEMS` elements, and each row block in
+    1024-wide k-chunks.  Each chunk is promoted into one reused contiguous
+    float32 buffer and multiplied by the float32 vector chunk in one SGEMV,
+    whose partial sums stay within ``±2**24`` and are therefore exact; the
+    int32 chunk results are summed with two's-complement wraparound.  So,
+    as for :func:`_sgemm_int32`, the result equals the integer reference
+    bit for bit at every ``k``.  A GEMV cannot amortise a float32 copy of
+    the whole stack the way a GEMM does, so none is made: the only
+    stack-sized traffic is the one read of the INT8 entries.
+    """
+    n_stack, m, k = a8.shape
+    width = min(k, _SGEMM_EXACT_K)
+    rows = min(m, max(1, _SGEMV_BLOCK_ELEMS // width))
+    buf = np.empty(rows * width, dtype=np.float32)
+    vf = v8.astype(np.float32)
+    out = np.empty((n_stack, m), dtype=np.int32)
+    for i in range(n_stack):
+        for row in range(0, m, rows):
+            dst = out[i, row:row + rows]
+            for start in range(0, k, width):
+                stop = start + width
+                chunk = a8[i, row:row + rows, start:stop]
+                block = buf[:chunk.size].reshape(chunk.shape)
+                np.copyto(block, chunk, casting="unsafe")
+                part = np.dot(block, vf[i, start:stop])
+                if start == 0:
+                    dst[...] = part
+                else:
+                    dst += part.astype(np.int32)
+    return out
+
+
 class Int8MatrixEngine(MatrixEngine):
     """Simulated INT8 Tensor Core (INT8 inputs, INT32 accumulation).
 
     Parameters
     ----------
     use_blas:
-        Select the float32 SGEMM fast path (exact, default) or the
+        Select the float32 SGEMM/SGEMV fast path (exact, default) or the
         pure-integer reference path.
     strict_k:
         If True (default), refuse inner dimensions above ``2**17`` with
@@ -188,19 +237,21 @@ class Int8MatrixEngine(MatrixEngine):
     def matvec_stack(self, a: np.ndarray, v: np.ndarray, trusted: bool = False) -> np.ndarray:
         """Fused batched GEMV ``(N, m, k) @ (N, k) -> (N, m)``.
 
-        The ``n = 1`` products are bandwidth-bound on the INT8 residue
-        stack, so promoting it to floating point for BLAS — the right call
-        for GEMM, where the arithmetic amortises the promotion traffic —
-        costs more than the whole product here.  This override instead
-        contracts the INT8 operands directly with an INT32-accumulating
-        :func:`numpy.einsum`, reading the stack once at one byte per
-        element.
+        The ``n = 1`` products run at the same exactness window as
+        :meth:`matmul_stack` (:func:`_sgemv_int32`): ``|a|, |v| <= 128``
+        bounds every partial sum of a 1024-wide k-chunk by ``2**24``, so
+        each chunk is one exact float32 SGEMV, and the chunks are summed in
+        wrapping int32.  The GEMV is bandwidth-bound on the INT8 stack, so
+        the promotion is blocked: one modulus at a time, in row blocks of
+        about 1 MiB of float32, each promoted into one reused buffer — no
+        float32 copy of the stack is ever held.
 
         INT32 accumulation wraps in two's complement exactly like the
-        hardware accumulator: every partial sum is congruent modulo 2**32
-        regardless of order, so the result is bit-identical to the GEMM
-        path's int32 chunk sums for every ``k`` the engine accepts (only
-        ``k = 2**17`` can reach the ``±2**31`` boundary, Section 4.3).
+        hardware accumulator, so the result is bit-identical to the GEMM
+        path and to the ``use_blas=False`` integer reference (an
+        INT32-accumulating :func:`numpy.einsum`) for every ``k`` the engine
+        accepts (only ``k = 2**17`` can reach the ``±2**31`` boundary,
+        Section 4.3).
         ``trusted`` has the :meth:`matmul_stack` contract: INT8 stacks
         produced by this library's own conversion skip the per-call
         validation sweeps; any other dtype is validated regardless.
@@ -220,8 +271,11 @@ class Int8MatrixEngine(MatrixEngine):
         else:
             a8 = self._prepare(a, "A")
             v8 = self._prepare(v, "B")
-        with np.errstate(over="ignore"):
-            out = np.einsum("nmk,nk->nm", a8, v8, dtype=np.int32)
+        if self.use_blas:
+            out = _sgemv_int32(a8, v8)
+        else:
+            with np.errstate(over="ignore"):
+                out = np.einsum("nmk,nk->nm", a8, v8, dtype=np.int32)
         self.counter.record_matmul(
             m,
             1,

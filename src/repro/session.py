@@ -249,7 +249,9 @@ class Session:
         ``progressive``, …) pass through.  The system matrix's preparation
         goes through the session cache, so repeated solves against one
         matrix — or a solve after a :meth:`gemm` with the same left
-        operand — skip the preparation.
+        operand — skip the preparation.  The solve runs on the session's
+        scheduler and engine (unless the caller passes ``scheduler=``), so
+        its residue products land in :attr:`ledger`.
         """
         from .apps import solvers
 
@@ -270,6 +272,7 @@ class Session:
             arr = np.asarray(a)
             if arr.ndim == 2 and arr.shape[0] == arr.shape[1] and arr.shape[0] >= 2:
                 kwargs["prepared"] = self._cache.get_or_prepare(arr, "A", config)
+        kwargs.setdefault("scheduler", self._scheduler)
         return dispatch[method](a, b, config=config, **kwargs)
 
     # -- introspection -------------------------------------------------------

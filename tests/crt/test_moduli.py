@@ -6,6 +6,8 @@ import math
 
 import pytest
 
+import repro.crt.constants as constants
+import repro.crt.moduli as moduli
 from repro.crt.moduli import (
     MAX_TABLE_SIZE,
     MODULI_TABLE,
@@ -76,3 +78,31 @@ class TestSelectAndValidate:
 
     def test_validate_accepts_custom_coprime_set(self):
         assert validate_moduli([64, 81, 25, 49]) == (64, 81, 25, 49)
+
+
+class TestDefaultTableValidatedOnce:
+    def test_constant_table_lookups_do_not_revalidate(self, monkeypatch):
+        for n in (2, 8, 15, 20):
+            constants.build_constant_table(n)  # warm the table cache
+        calls = []
+
+        def counting(mods):
+            calls.append(tuple(mods))
+            return validate_moduli(mods)
+
+        monkeypatch.setattr(moduli, "validate_moduli", counting)
+        monkeypatch.setattr(constants, "validate_moduli", counting)
+        for _ in range(3):
+            for n in (2, 8, 15, 20):
+                table = constants.build_constant_table(n)
+                assert table.moduli == MODULI_TABLE[:n]
+        assert calls == []
+        # User-supplied moduli (and non-default tables) are still validated.
+        constants.build_constant_table(4, moduli=[64, 81, 25, 49])
+        assert calls and set(calls) == {(64, 81, 25, 49)}
+        select_moduli(2, table=(16, 15, 13))
+        assert calls[-1] == (16, 15)
+        with pytest.raises(ModuliError):
+            constants.build_constant_table(2, moduli=[256, 254])
+        with pytest.raises(ModuliError):
+            select_moduli(2, table=(256, 254, 253))

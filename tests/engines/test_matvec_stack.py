@@ -82,20 +82,85 @@ class TestInt8FusedOverride:
         with pytest.raises(OverflowRiskError, match="2\\*\\*17"):
             Int8MatrixEngine().matvec_stack(a, v, trusted=True)
 
-    def test_int32_wraparound_matches_matmul_stack_at_boundary(self):
+    @pytest.mark.parametrize("use_blas", [True, False])
+    def test_int32_wraparound_matches_matmul_stack_at_boundary(self, use_blas):
         # k = 2**17 with all-(-128) entries reaches exactly +2**31, the one
-        # harmless wraparound case of Section 4.3; the einsum accumulation
-        # must wrap bit-identically to the float64 path's reduction.
+        # harmless wraparound case of Section 4.3; the sum of the exact
+        # 1024-wide float32 chunks (and the integer reference's einsum) must
+        # wrap bit-identically to the GEMM path's int32 chunk sums.
         k = 2**17
         a = np.full((1, 1, k), -128, dtype=np.int8)
         v = np.full((1, k), -128, dtype=np.int8)
-        engine = Int8MatrixEngine(strict_k=False)
+        engine = Int8MatrixEngine(use_blas=use_blas, strict_k=False)
         out = engine.matvec_stack(a, v, trusted=True)
         ref = Int8MatrixEngine(strict_k=False).matmul_stack(
             a, v[:, :, None], trusted=True
         )[:, :, 0]
         np.testing.assert_array_equal(out, ref)
         assert out[0, 0] == np.int32(-(2**31))
+
+
+def _assert_matches_integer_reference(a, v, **engine_kw):
+    """Fast path vs the ``use_blas=False`` einsum: same bits, same ledger."""
+    fast = Int8MatrixEngine(**engine_kw)
+    ref = Int8MatrixEngine(use_blas=False, **engine_kw)
+    out = fast.matvec_stack(a, v, trusted=True)
+    want = ref.matvec_stack(a, v, trusted=True)
+    assert out.dtype == np.int32
+    np.testing.assert_array_equal(out, want)
+    assert fast.counter.as_dict() == ref.counter.as_dict()
+    return out
+
+
+class TestBlockedSgemvExactness:
+    """The float32 SGEMV path against the integer reference, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 1023, 1024, 1025, 4097])
+    def test_random_and_saturated_rows(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.integers(-128, 128, size=(3, 9, k), dtype=np.int8)
+        v = rng.integers(-128, 128, size=(3, k), dtype=np.int8)
+        # A saturated row (-128 * -128 = 2**14 per term, exactly 2**24 over
+        # 1024 terms) with one unit term: the sum is odd and above 2**24 at
+        # k = 1025, so any float32 chunk wider than 1024 would round it.
+        a[:, 0, :] = v[:, :] = -128
+        a[:, 0, 0] = v[:, 0] = 1
+        out = _assert_matches_integer_reference(a, v)
+        assert out[0, 0] == (k - 1) * 2**14 + 1
+
+    @pytest.mark.parametrize("m", [1, 257, 1000])
+    def test_row_counts_off_the_block_size(self, m):
+        # k = 1025 gives 1024-wide blocks of 256 rows: m = 257 and 1000 end
+        # on a partial row block, m = 1 is a single-row GEMV.
+        rng = np.random.default_rng(m)
+        a = rng.integers(-128, 128, size=(2, m, 1025), dtype=np.int8)
+        v = rng.integers(-128, 128, size=(2, 1025), dtype=np.int8)
+        _assert_matches_integer_reference(a, v)
+
+    def test_non_contiguous_k_sliced_views(self):
+        # prepared_gemv passes a[:, :, start:stop] and x[:, start:stop] when
+        # it blocks k: strided views, never copied by the caller.
+        rng = np.random.default_rng(7)
+        a = rng.integers(-128, 128, size=(4, 33, 3000), dtype=np.int8)
+        v = rng.integers(-128, 128, size=(4, 3000), dtype=np.int8)
+        a_view, v_view = a[:, :, 700:2800], v[:, 700:2800]
+        assert not a_view.flags.c_contiguous
+        out = _assert_matches_integer_reference(a_view, v_view)
+        np.testing.assert_array_equal(
+            out,
+            Int8MatrixEngine().matvec_stack(
+                np.ascontiguousarray(a_view), np.ascontiguousarray(v_view), trusted=True
+            ),
+        )
+
+    def test_wrap_at_k_2_17_with_strict_k_off(self):
+        k = 2**17
+        rng = np.random.default_rng(17)
+        a = rng.integers(-128, 128, size=(2, 3, k), dtype=np.int8)
+        v = rng.integers(-128, 128, size=(2, k), dtype=np.int8)
+        a[:, 0, :] = v[:, :] = -128
+        out = _assert_matches_integer_reference(a, v, strict_k=False)
+        assert np.all(out[:, 0] == np.int32(-(2**31)))
 
 
 class TestShapeValidation:

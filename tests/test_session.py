@@ -18,6 +18,7 @@ from repro.apps.solvers import SolveResult, cg_solve
 from repro.config import Ozaki2Config
 from repro.core.gemm import ozaki2_gemm
 from repro.core.gemv import GemvResult, prepared_gemv
+from repro.engines.int8 import Int8MatrixEngine
 from repro.errors import ValidationError
 from repro.result import GemmResult, Result
 
@@ -73,6 +74,24 @@ class TestSessionBitIdentity:
         direct = cg_solve(a, b, config=cfg, tol=1e-10)
         assert res.converged and direct.converged
         assert np.array_equal(res.value, direct.value)
+
+    def test_solve_runs_on_the_session_engine(self, cfg, rng):
+        n = 24
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a = q @ np.diag(np.linspace(1.0, 10.0, n)) @ q.T
+        b = rng.standard_normal(n)
+        with repro.Session(cfg) as session:
+            res = session.solve(a, b, method="cg", tol=1e-10)
+            ledger = session.ledger
+            gemvs = res.iterations * cfg.num_moduli
+            assert ledger.matmul_calls == gemvs
+            assert ledger.mac_ops == gemvs * n * n
+        reference = Int8MatrixEngine(use_blas=False)
+        with repro.Session(cfg, engine=reference) as session:
+            ref = session.solve(a, b, method="cg", tol=1e-10)
+        assert reference.counter.matmul_calls == gemvs
+        assert res.iterations == ref.iterations
+        assert np.array_equal(res.value, ref.value)
 
     def test_disabled_cache_still_bit_identical(self, cfg, pair):
         a, b = pair
