@@ -612,21 +612,34 @@ def _cmd_lint(args) -> int:
 
 
 def _kernels_match_oracle(moduli) -> bool:
-    """Production residue kernels and engine vs. their slow exact oracles."""
+    """Production residue kernels, epilogue and engine vs. their slow exact
+    oracles."""
+    from .core.accumulation import accumulate_residue_products, reconstruct_crt
+    from .crt.constants import build_constant_table
     from .crt.residues import (
+        _BLOCK,
+        _LIMB_BITS,
         _RMOD_DIRECT_LIMIT,
         residues_to_int8,
         uint8_residues,
         uint8_residues_stack,
     )
     from .engines.int8 import Int8MatrixEngine
+    from .utils.fma import fma
 
     rng = np.random.default_rng(0)
     edge = _RMOD_DIRECT_LIMIT
+    # Largest magnitude whose top limb folds in one rmod, and the next
+    # float64 above it (which takes two limbs).
+    limb_max = max(pow(2, _LIMB_BITS, p) for p in moduli)
+    top = (int(edge) - 2**_LIMB_BITS - 1) // limb_max
+    fold = float(np.nextafter(float(top << _LIMB_BITS), 0.0))
+    beyond = float(np.nextafter(float(top << _LIMB_BITS), np.inf))
     x = np.concatenate(
         [
             np.trunc(rng.standard_normal(600) * 2.0**60),
             [edge - 1.0, 1.0 - edge, edge, -edge, 128.0, -128.0, -0.0],
+            [fold, -fold, beyond, -beyond],
         ]
     )
     ok = all(
@@ -641,6 +654,26 @@ def _kernels_match_oracle(moduli) -> bool:
     ok = ok and all(
         np.array_equal(u[i], uint8_residues(c[i], p)) for i, p in enumerate(moduli)
     )
+    for table in (
+        build_constant_table(len(moduli), 64, moduli=tuple(moduli)),
+        build_constant_table(8, 32),
+    ):
+        # One block boundary: blocked epilogue vs the per-modulus loop and
+        # the whole-array FMA reconstruction, bit for bit.
+        stack = rng.integers(
+            -(2**31), 2**31, (table.num_moduli, 2, _BLOCK // 2 + 1), dtype=np.int32
+        )
+        c1, c2 = accumulate_residue_products(stack, table)
+        l1, l2 = accumulate_residue_products(stack, table, vectorized=False)
+        q = np.rint(table.Pinv * l1)
+        t = fma(-table.P1, q, l1)
+        whole = fma(-table.P2, q, t if l2 is None else t + l2)
+        got = [c1, reconstruct_crt(c1, c2, table)] + ([] if c2 is None else [c2])
+        want = [l1, whole] + ([] if l2 is None else [l2])
+        ok = ok and len(got) == len(want) and all(
+            np.array_equal(g.view(np.int64), w.view(np.int64))
+            for g, w in zip(got, want, strict=True)
+        )
     for k in (1024, 1025):
         a8 = rng.integers(-128, 128, (2, 8, k), dtype=np.int8)
         b8 = rng.integers(-128, 128, (2, k, 8), dtype=np.int8)
@@ -753,8 +786,9 @@ def _cmd_selfcheck(args) -> int:
 
     checks.append(
         (
-            "division-free conversion/U-stack and SGEMM/SGEMV engine match "
-            "the oracle loop and integer engine (split threshold, k=1024/1025)",
+            "division-free conversion/U-stack, blocked epilogue and SGEMM/SGEMV "
+            "engine match the oracle loop and integer engine (split threshold, "
+            "one-limb fold bound, block boundary, k=1024/1025)",
             _kernels_match_oracle(table.moduli),
             "",
         )

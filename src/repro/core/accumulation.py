@@ -14,18 +14,23 @@ first accumulation ``C'^{(1)} = Σ_i s_{i1} U_i`` is *error-free*; the second
 accumulation ``C'^{(2)} = Σ_i s_{i2} U_i`` carries the low-order bits.  The
 final combination uses FMA so the huge cancellation ``C'^{(1)} − P_1 Q`` is
 performed without forming the product ``P_1 Q`` inexactly.
+
+Both production kernels are elementwise and run over the flat output axis
+in blocks of :data:`repro.crt.residues._BLOCK` elements, so every
+temporary — the ``(N, block)`` float64 U-slices, the software-FMA terms —
+stays cache-resident; only the ``(m, n)`` results ``C1``, ``C2`` and
+``C''`` are written at full size.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..crt.constants import CRTConstantTable
-from ..crt.residues import uint8_residues, uint8_residues_stack
+from ..crt.residues import _BLOCK, uint8_residues, uint8_residues_stack
 from ..utils.fma import fma
 
 __all__ = ["accumulate_residue_products", "reconstruct_crt", "unscale"]
@@ -49,35 +54,6 @@ def _split_tail_terms(moduli: Tuple[int, ...], precision_bits: int) -> Tuple[boo
     return bool(nonzero), nonzero
 
 
-#: Per-thread reusable float64 U-stack workspaces keyed on
-#: ``(num_moduli, m, n)``.  The vectorised accumulation materialises the
-#: whole float64 residue stack on every GEMM/GEMV call even though its
-#: allocation depends only on the moduli count and the tile shape; solvers
-#: and batched runs hit the same shape thousands of times, so the buffer is
-#: recycled (thread-local: the accumulation runs on the calling thread, and
-#: concurrent callers must not share a scratch stack).  Contents are fully
-#: overwritten by :func:`repro.crt.residues.uint8_residues_stack` before
-#: any read, and the buffer never escapes the call.
-_WORKSPACE = threading.local()
-
-#: Distinct shapes cached per thread before the pool is cleared (bounds the
-#: resident scratch memory for workloads sweeping many problem sizes).
-_WORKSPACE_MAX_SHAPES = 8
-
-
-def _u_stack_workspace(shape: Tuple[int, ...]) -> np.ndarray:
-    """Fetch (or allocate) this thread's float64 U-stack for ``shape``."""
-    pool = getattr(_WORKSPACE, "pool", None)
-    if pool is None:
-        pool = _WORKSPACE.pool = {}
-    buffer = pool.get(shape)
-    if buffer is None:
-        if len(pool) >= _WORKSPACE_MAX_SHAPES:
-            pool.clear()
-        buffer = pool[shape] = np.empty(shape, dtype=np.float64)
-    return buffer
-
-
 def accumulate_residue_products(
     c_stack: np.ndarray,
     table: CRTConstantTable,
@@ -97,20 +73,23 @@ def accumulate_residue_products(
         Use the ``__mulhi`` fast kernel for ``mod`` (Section 4.3) instead of
         the exact integer remainder.  Both yield identical ``U_i``.
     vectorized:
-        When True (default), materialise the whole float64 U-stack first
-        (the division-free blocked reduction of :func:`repro.crt.residues.
-        uint8_residues_stack`, no UINT8/float64 round-trips) and evaluate ``C1`` with a single
-        :func:`numpy.tensordot` of the split weights against the U-stack.
-        For the 64-bit tables ``C1`` is order-independent because the
-        split-weight accumulation is *error-free* (every ``s_i1 U_i`` has at
-        most ``β_i + 8 <= 53`` significant bits and every partial sum is an
-        exact multiple of a common unit below 2^53 — Section 4.3), so any
-        summation order gives the identical float64 result.  The 32-bit
-        tables keep the full (unsplit) weights, whose accumulation carries
-        rounding; there — and for the inexact ``C2`` terms — the fixed
-        ascending-modulus order of the per-modulus loop is preserved so the
-        result stays bit-identical with ``vectorized=False`` (kept as the
-        pre-fusion comparator).
+        When True (default), walk the flat ``m·n`` axis in blocks of about
+        8k elements: each block's U-slices come from the division-free
+        reduction of :func:`repro.crt.residues.uint8_residues_stack`
+        straight into one reused ``(N, block)`` float64 scratch and are
+        summed while still in cache — no ``(N, m, n)`` float64 U-stack is
+        formed.  For the 64-bit tables each block of ``C1`` is one
+        :func:`numpy.dot` of the split weights against the scratch; ``C1``
+        is order-independent because the split-weight accumulation is
+        *error-free* (every ``s_i1 U_i`` has at most ``β_i + 8 <= 53``
+        significant bits and every partial sum is an exact multiple of a
+        common unit below 2^53 — Section 4.3), so any summation order gives
+        the identical float64 result.  The 32-bit tables keep the full
+        (unsplit) weights, whose accumulation carries rounding; there — and
+        for the inexact ``C2`` terms — the fixed ascending-modulus order of
+        the per-modulus loop is preserved, so the result stays
+        bit-identical with ``vectorized=False``, the per-modulus loop kept
+        only as the comparator.
 
     Returns
     -------
@@ -128,35 +107,7 @@ def accumulate_residue_products(
         )
     need_c2, s2_nonzero = _split_tail_terms(table.moduli, table.precision_bits)
     if vectorized:
-        # Materialise the whole float64 U-stack up front, into this
-        # thread's cached workspace for the (moduli, tile) shape — the
-        # buffer is fully overwritten before any read.  The residues lie
-        # in [0, p) ⊂ [0, 255], so writing them straight into float64 makes
-        # the UINT8 narrowing of the per-modulus path a bitwise no-op and
-        # saves the widening pass.
-        u = uint8_residues_stack(
-            c_stack,
-            table.moduli,
-            table.pinv_prime if use_mulhi else None,
-            out=_u_stack_workspace(c_stack.shape),
-        )
-        if table.precision_bits == 64:
-            c1 = np.tensordot(table.s1, u.reshape(table.num_moduli, -1), axes=1)
-            c1 = c1.reshape(c_stack.shape[1:])
-        else:
-            # Unsplit 32-bit weights: the sum is inexact, keep the loop order.
-            c1 = np.zeros(c_stack.shape[1:], dtype=np.float64)
-            for i in range(table.num_moduli):
-                c1 += table.s1[i] * u[i]
-        if not need_c2:
-            return c1, None
-        # Ordered accumulation of the inexact low-order terms; adding a term
-        # with s2[i] == 0 is a bitwise no-op (all terms are >= 0), so only
-        # the nonzero ones are visited.
-        c2 = np.zeros(c_stack.shape[1:], dtype=np.float64)
-        for i in s2_nonzero:
-            c2 += table.s2[i] * u[i]
-        return c1, c2
+        return _accumulate_blocked(c_stack, table, use_mulhi, need_c2, s2_nonzero)
 
     m, n = c_stack.shape[1:]
     c1 = np.zeros((m, n), dtype=np.float64)
@@ -168,6 +119,62 @@ def accumulate_residue_products(
         if need_c2:
             c2 += table.s2[i] * u
     return c1, c2
+
+
+def _accumulate_blocked(
+    c_stack: np.ndarray,
+    table: CRTConstantTable,
+    use_mulhi: bool,
+    need_c2: bool,
+    s2_nonzero: Tuple[int, ...],
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Blocked U-reduction and split-weight accumulation (``vectorized=True``).
+
+    Walks the flat ``m·n`` axis in blocks of :data:`~repro.crt.residues.
+    _BLOCK` elements; each block's residues land in one reused
+    ``(N, block)`` float64 scratch, which is consumed by the ``C1``/``C2``
+    sums while still in cache, so no ``(N, m, n)`` float64 stack exists.
+    """
+    num_moduli = table.num_moduli
+    shape = c_stack.shape[1:]
+    flat_c = c_stack.reshape(num_moduli, -1)
+    size = flat_c.shape[1]
+    c1 = np.empty(size, dtype=np.float64)
+    c2 = np.empty(size, dtype=np.float64) if need_c2 else None
+    # Carved from one flat buffer so the short tail block is C-contiguous too.
+    scratch = np.empty(num_moduli * min(_BLOCK, size), dtype=np.float64)
+    term = np.empty(min(_BLOCK, size), dtype=np.float64)
+    pinv_prime = table.pinv_prime if use_mulhi else None
+    exact_c1 = table.precision_bits == 64
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
+        cols = stop - start
+        u = uint8_residues_stack(
+            flat_c[:, start:stop],
+            table.moduli,
+            pinv_prime,
+            out=scratch[: num_moduli * cols].reshape(num_moduli, cols),
+        )
+        c1_block = c1[start:stop]
+        if exact_c1:
+            # Error-free split-weight sum: any order (BLAS included) gives
+            # the same float64 value.
+            np.dot(table.s1, u, out=c1_block)
+        else:
+            # Unsplit 32-bit weights: the sum is inexact, keep the loop order
+            # (0 + s1[0]·U_0 is exactly s1[0]·U_0, as every term is >= 0).
+            np.multiply(u[0], table.s1[0], out=c1_block)
+            for i in range(1, num_moduli):
+                c1_block += np.multiply(u[i], table.s1[i], out=term[:cols])
+        if c2 is not None:
+            # Ordered accumulation of the inexact low-order terms; adding a
+            # term with s2[i] == 0 is a bitwise no-op (all terms are >= 0),
+            # so only the nonzero ones are visited.
+            c2_block = c2[start:stop]
+            c2_block.fill(0.0)
+            for i in s2_nonzero:
+                c2_block += np.multiply(u[i], table.s2[i], out=term[:cols])
+    return c1.reshape(shape), None if c2 is None else c2.reshape(shape)
 
 
 def reconstruct_crt(
@@ -186,12 +193,26 @@ def reconstruct_crt(
     all-zero second accumulation) skips the addition outright.  The scalar
     coefficients ``-P1`` / ``-P2`` broadcast through :func:`~repro.utils.
     fma.fma` directly — no full-size constant matrices are materialised.
+
+    The formula runs block by block (:data:`~repro.crt.residues._BLOCK`
+    elements of the flat axis) into one preallocated output, so its
+    temporaries stay in cache; the per-element arithmetic and its order are
+    those of the whole-array formula, hence bit-identical to it.
     """
-    q = np.rint(table.Pinv * c1)
-    t = fma(-table.P1, q, c1)
-    if c2 is not None:
-        t = t + c2
-    return fma(-table.P2, q, t)
+    c1 = np.asarray(c1, dtype=np.float64)
+    out = np.empty(c1.shape, dtype=np.float64)
+    flat_c1 = c1.reshape(-1)
+    flat_c2 = None if c2 is None else np.asarray(c2, dtype=np.float64).reshape(-1)
+    flat_out = out.reshape(-1)
+    for start in range(0, flat_c1.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        c1_block = flat_c1[block]
+        q = np.rint(table.Pinv * c1_block)
+        t = fma(-table.P1, q, c1_block)
+        if flat_c2 is not None:
+            t = t + flat_c2[block]
+        flat_out[block] = fma(-table.P2, q, t)
+    return out
 
 
 def unscale(
@@ -207,5 +228,6 @@ def unscale(
     """
     inv_mu = 1.0 / np.asarray(mu, dtype=np.float64)
     inv_nu = 1.0 / np.asarray(nu, dtype=np.float64)
-    c = c_pp * inv_mu[:, None] * inv_nu[None, :]
+    c = c_pp * inv_mu[:, None]
+    c *= inv_nu[None, :]
     return np.asarray(c, dtype=out_dtype)

@@ -36,7 +36,7 @@ def truncate_scaled(x: np.ndarray, scale: np.ndarray, side: str) -> np.ndarray:
         scaled = x * scale[None, :]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return np.trunc(scaled)
+    return np.trunc(scaled, out=scaled)
 
 
 def residue_slices(

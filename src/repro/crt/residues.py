@@ -328,15 +328,25 @@ def _rmod(
     return np.subtract(x, work, out=work)
 
 
-def _limb_count(max_abs: float) -> int:
-    """Number of ``2^26`` limbs to split off before the top part of every
-    value bounded by ``max_abs`` fits the direct ``rmod`` window."""
+def _limb_count(max_abs: float, limb_max: int) -> int:
+    """Number of ``2^26`` limbs to split off values bounded by ``max_abs``.
+
+    Zero inside the direct ``rmod`` window.  Otherwise the smallest count
+    whose top limb ``T`` folds into the most significant low limb inside
+    the window: ``|T|·limb_max + 2^26 < 2^50``, where ``limb_max`` is
+    ``max_i(2^26 mod p_i)`` and the low limb lies in ``[0, 2^26)``.  The
+    bound is tracked in exact integers.
+    """
+    if max_abs < _RMOD_DIRECT_LIMIT:
+        return 0
+    bound = int(max_abs)
     count = 0
-    while max_abs >= _RMOD_DIRECT_LIMIT:
+    while True:
         # floor() can grow a negative top part by at most one.
-        max_abs = max_abs * _LIMB_INV + 1.0
+        bound = (bound >> _LIMB_BITS) + 1
         count += 1
-    return count
+        if bound * limb_max + 2**_LIMB_BITS < int(_RMOD_DIRECT_LIMIT):
+            return count
 
 
 def _residues_to_int8_single_pass(
@@ -356,15 +366,25 @@ def _residues_to_int8_single_pass(
     The same loop serves ``(m, k)`` matrices, batched stacks and 1-D GEMV
     vectors.
 
-    Values with ``|x| < 2^50`` take one reciprocal ``rmod`` per modulus.
-    Larger values (fp64 inputs reach about ``2^57`` at ``N = 15``) are split
-    once per block into limbs: ``xh = ⌊x·2^-26⌋`` and
+    Values with ``|x| < 2^50`` (every fp32 input) take one reciprocal
+    ``rmod`` per modulus.  Larger values (fp64 inputs reach about ``2^57`` at
+    ``N = 15``) are split once per block into limbs: ``xh = ⌊x·2^-26⌋`` and
     ``xl = x − xh·2^26 ∈ [0, 2^26)`` — both exact, since scaling by a power
-    of two and subtracting to a representable integer are exact — and each
-    modulus evaluates ``rmod(rmod(xh, p)·(2^26 mod p) + xl, p)``, whose
-    inner sum stays below ``2^27``.  The split repeats on ``xh`` until the
-    top limb is inside the direct window, so every finite input is
-    converted exactly.  The result equals the per-modulus loop bit for bit.
+    of two and subtracting to a representable integer are exact.  The split
+    repeats on ``xh`` until the top limb ``T`` satisfies
+    ``|T|·max_i(2^26 mod p_i) + 2^26 < 2^50`` (:func:`_limb_count`); the top
+    limb is then *folded* into the most significant low limb ``xl`` with no
+    ``rmod`` of its own: each modulus evaluates ``rmod(T·(2^26 mod p) + xl,
+    p)``.  That is exact: ``T`` and ``xl`` are exact integers, every product
+    and sum is an integer of magnitude below ``2^50`` (so exactly
+    representable and inside the proven window of :func:`_rmod`), and the
+    value is congruent to ``T·2^26 + xl`` modulo ``p``, so its centred
+    residue is the same.  One limb covers ``|x|`` up to about ``2^67.9``,
+    so such a value costs one ``rmod`` per residue.  Any further low limbs
+    fold in as before, ``rmod(r·(2^26 mod p) + xl, p)`` with ``|r| <= 128``,
+    whose inner value stays below ``2^27``; so every finite input is
+    converted exactly, and the result equals the per-modulus loop bit for
+    bit.
 
     The per-modulus loop serves the fast-FMA kernel (pure per-modulus
     floating-point arithmetic with nothing to share), non-finite inputs,
@@ -378,10 +398,11 @@ def _residues_to_int8_single_pass(
     max_abs = float(np.max(np.abs(flat))) if flat.size else 0.0
     if not np.isfinite(max_abs):
         return _residues_to_int8_loop(x, mods, kernel, pinv_b, pinv32, precision_bits)
-    num_limbs = _limb_count(max_abs)
+    limb_mods = [pow(2, _LIMB_BITS, p) for p in mods]
+    num_limbs = _limb_count(max_abs, max(limb_mods, default=0))
     p_col = np.array(mods, dtype=np.float64)[:, None]
     pinv_col = 1.0 / p_col
-    limb_col = np.array([pow(2, _LIMB_BITS, p) for p in mods], dtype=np.float64)[:, None]
+    limb_col = np.array(limb_mods, dtype=np.float64)[:, None]
     width = min(_BLOCK, flat.size)
     buffers = (
         np.empty((len(mods), width), dtype=np.float64),
@@ -392,10 +413,18 @@ def _residues_to_int8_single_pass(
         cols = top.size
         limbs: list[np.ndarray] = []
         for _ in range(num_limbs):
-            high = np.floor(top * _LIMB_INV)
-            limbs.append(top - high * _LIMB)
+            high = top * _LIMB_INV
+            np.floor(high, out=high)
+            low = high * _LIMB
+            limbs.append(np.subtract(top, low, out=low))
             top = high
-        residue = _rmod(top, p_col, pinv_col, buffers[0][:, :cols])
+        if limbs:
+            # Fold the top limb into the most significant low limb.
+            residue = np.multiply(top, limb_col, out=buffers[1][:, :cols])
+            residue += limbs.pop()
+        else:
+            residue = top
+        residue = _rmod(residue, p_col, pinv_col, buffers[0][:, :cols])
         for depth, low in enumerate(reversed(limbs), start=1):
             residue *= limb_col
             residue += low
@@ -449,10 +478,11 @@ def uint8_residues_stack(
     wider than INT32 are checked against the window.
 
     ``out`` may supply a preallocated C-contiguous ``c_stack.shape`` array
-    of any dtype that can represent ``[0, 255]``; the fused accumulation
-    passes a float64 stack so the residues land in their final
-    representation with no separate widening pass.  Without ``out``, a
-    UINT8 stack is returned.
+    of any dtype that can represent ``[0, 255]``; the blocked accumulation
+    passes its ``(N, block)`` float64 scratch, so the residues land in their
+    final representation with no separate widening pass (a float64 ``out``
+    also holds the quotients, so no further scratch is allocated).  Without
+    ``out``, a UINT8 stack is returned.
     """
     c = np.asarray(c_stack)
     u = out if out is not None else np.empty(c.shape, dtype=np.uint8)
@@ -477,13 +507,20 @@ def uint8_residues_stack(
     flat_u = u.reshape(num_moduli, -1)
     p_col = np.array([int(p) for p in moduli], dtype=np.float64)[:, None]
     pinv_col = 1.0 / p_col
-    scratch = np.empty((num_moduli, min(_BLOCK, size)), dtype=np.float64)
+    # A float64 output is its own scratch: each block's quotient is built in
+    # the destination and overwritten by the remainder.
+    scratch = (
+        None
+        if u.dtype == np.float64
+        else np.empty((num_moduli, min(_BLOCK, size)), dtype=np.float64)
+    )
     for start in range(0, size, _BLOCK):
         block = flat_c[:, start:start + _BLOCK]
-        q = scratch[:, :block.shape[1]]
+        dest = flat_u[:, start:start + _BLOCK]
+        q = dest if scratch is None else scratch[:, :block.shape[1]]
         np.add(block, 0.5, out=q)
         q *= pinv_col
         np.floor(q, out=q)
         q *= p_col
-        np.subtract(block, q, out=flat_u[:, start:start + _BLOCK], casting="unsafe")
+        np.subtract(block, q, out=dest, casting="unsafe")
     return u

@@ -14,6 +14,7 @@ from repro.core.accumulation import (
 from repro.core.conversion import residue_slices
 from repro.crt.constants import build_constant_table
 from repro.crt.inverses import crt_reconstruct_int
+from repro.crt.residues import _BLOCK
 
 
 def _residue_products(a_prime, b_prime, table):
@@ -74,8 +75,8 @@ class TestAccumulate:
     @pytest.mark.parametrize("precision_bits", [64, 32])
     @pytest.mark.parametrize("use_mulhi", [False, True])
     def test_vectorized_matches_per_modulus_loop(self, rng, precision_bits, use_mulhi):
-        """The single-tensordot/broadcast path must be bit-identical to the
-        per-modulus loop it replaces, including the inexact C2 terms."""
+        """The blocked path must be bit-identical to the per-modulus loop,
+        including the inexact C2 terms."""
         n_mod = 15 if precision_bits == 64 else 8
         table = build_constant_table(n_mod, precision_bits)
         c_stack = rng.integers(-(2**31), 2**31, (n_mod, 7, 9)).astype(np.int32)
@@ -183,3 +184,108 @@ class TestUnscale:
         c = np.ones((2, 2))
         out = unscale(c, np.ones(2), np.ones(2), out_dtype=np.float32)
         assert out.dtype == np.float32
+
+
+def _bits(x):
+    """Raw float64 bits, so signed zeros and every ulp count."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def _whole_array_reconstruct(c1, c2, table):
+    """Line 11 of Algorithm 1 as one whole-array formula (the comparator of
+    the blocked reconstruction)."""
+    from repro.utils.fma import fma
+
+    q = np.rint(table.Pinv * c1)
+    t = fma(-table.P1, q, c1)
+    if c2 is not None:
+        t = t + c2
+    return fma(-table.P2, q, t)
+
+
+def _assert_blocked_matches_loop(c_stack, table, use_mulhi=False):
+    c1_b, c2_b = accumulate_residue_products(c_stack, table, use_mulhi=use_mulhi)
+    c1_l, c2_l = accumulate_residue_products(
+        c_stack, table, use_mulhi=use_mulhi, vectorized=False
+    )
+    assert c1_b.shape == c1_l.shape == c_stack.shape[1:]
+    np.testing.assert_array_equal(_bits(c1_b), _bits(c1_l))
+    assert (c2_b is None) == (c2_l is None)
+    if c2_l is not None:
+        np.testing.assert_array_equal(_bits(c2_b), _bits(c2_l))
+    np.testing.assert_array_equal(
+        _bits(reconstruct_crt(c1_b, c2_b, table)),
+        _bits(_whole_array_reconstruct(c1_l, c2_l, table)),
+    )
+
+
+class TestBlockedEpilogueExactness:
+    """The blocked U-reduction, accumulation and reconstruction against the
+    per-modulus loop and the whole-array FMA formula, bit for bit, at and
+    around the block boundaries."""
+
+    @pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("precision_bits,num_moduli", [(64, 15), (32, 8)])
+    @pytest.mark.parametrize("use_mulhi", [False, True])
+    def test_flat_sizes_around_the_block(
+        self, rng, size, precision_bits, num_moduli, use_mulhi
+    ):
+        table = build_constant_table(num_moduli, precision_bits)
+        c_stack = rng.integers(-(2**31), 2**31, (num_moduli, 1, size), dtype=np.int32)
+        c_stack[:, 0, :2] = [-(2**31), 2**31 - 1][: min(2, size)]
+        _assert_blocked_matches_loop(c_stack, table, use_mulhi)
+
+    def test_c2_bearing_table(self, rng):
+        table = build_constant_table(15, 64)
+        assert np.any(table.s2 != 0)
+        c_stack = rng.integers(-(2**31), 2**31, (15, 97, 101), dtype=np.int32)
+        c1, c2 = accumulate_residue_products(c_stack, table)
+        assert c2 is not None
+        _assert_blocked_matches_loop(c_stack, table)
+
+    def test_int64_k_blocked_stack(self, rng):
+        """k-blocked partial sums arrive as int64 beyond the INT32 range."""
+        table = build_constant_table(12, 64)
+        c_stack = rng.integers(-(2**40), 2**40, (12, 3, _BLOCK + 5), dtype=np.int64)
+        _assert_blocked_matches_loop(c_stack, table)
+
+    def test_non_contiguous_tile_view(self, rng):
+        table = build_constant_table(15, 64)
+        full = rng.integers(-(2**31), 2**31, (15, 120, 90), dtype=np.int32)
+        tile = full[:, 3:110, 5:83]
+        assert not tile.flags.c_contiguous
+        _assert_blocked_matches_loop(tile, table)
+
+    @pytest.mark.parametrize("m", [1, 512, 3 * _BLOCK + 7])
+    def test_gemv_column_shape(self, rng, m):
+        table = build_constant_table(15, 64)
+        c_stack = rng.integers(-(2**31), 2**31, (15, m), dtype=np.int32)
+        _assert_blocked_matches_loop(c_stack[:, :, None], table)
+
+    def test_empty_output(self):
+        table = build_constant_table(6, 64)
+        c1, c2 = accumulate_residue_products(np.zeros((6, 0, 4), dtype=np.int32), table)
+        assert c1.shape == c2.shape == (0, 4)
+        assert reconstruct_crt(c1, c2, table).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "precision,num_moduli", [("fp64", 15), ("fp32", 8)]
+    )
+    def test_gemm_across_block_boundary_matches_loop_with_equal_ledgers(
+        self, precision, num_moduli
+    ):
+        """End to end: an output of more than one block through the fused
+        path and the per-modulus loop gives the same bits and op ledger."""
+        from repro.config import Ozaki2Config
+        from repro.core.gemm import ozaki2_gemm
+        from repro.workloads import phi_pair
+
+        a, b = phi_pair(96, 40, 100, phi=0.5, precision=precision, seed=3)
+        assert a.shape[0] * b.shape[1] > _BLOCK
+        config = Ozaki2Config(precision=precision, num_moduli=num_moduli)
+        fused = ozaki2_gemm(a, b, config=config, return_details=True)
+        loop = ozaki2_gemm(
+            a, b, config=config.replace(fused_kernels=False), return_details=True
+        )
+        np.testing.assert_array_equal(_bits(fused.c), _bits(loop.c))
+        assert fused.int8_counter.as_dict() == loop.int8_counter.as_dict()

@@ -16,9 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.crt.residues as residues
 from repro.crt.moduli import MODULI_TABLE
 from repro.crt.residues import (
+    _BLOCK,
+    _LIMB_BITS,
     _RMOD_DIRECT_LIMIT,
+    _limb_count,
     residues_to_int8,
     uint8_residues_stack,
 )
@@ -137,6 +141,112 @@ class TestConversionOracle:
         np.testing.assert_array_equal(
             residues_to_int8(x, moduli), residues_to_int8(x, moduli, single_pass=False)
         )
+
+
+#: ``max_i(2^26 mod p_i)`` over the whole moduli table (249, for p = 251).
+_LIMB_MAX = max(pow(2, _LIMB_BITS, p) for p in MODULI_TABLE)
+
+
+def _worst_fold_value(top: int) -> float:
+    """The largest float64 below ``top·2^26``: the largest value whose
+    one-limb bound ``⌊|x|·2^-26⌋ + 1`` is ``top``, with a low limb of ``2^26``
+    minus one ulp — the worst case of the fold ``T·(2^26 mod p) + low``."""
+    return float(np.nextafter(float(top << _LIMB_BITS), 0.0))
+
+
+def _one_limb_top_bounds():
+    """``(largest, mutated)`` top limbs admitted by the one-limb fold bound:
+    the real bound ``|T|·L + 2^26 < 2^50`` and the bound with its ``+2^26``
+    (low-limb) term dropped."""
+    window = int(_RMOD_DIRECT_LIMIT)
+    largest = (window - 2**_LIMB_BITS - 1) // _LIMB_MAX
+    mutated = (window - 1) // _LIMB_MAX
+    return largest, mutated
+
+
+@pytest.fixture
+def rmod_window_spy(monkeypatch):
+    """Assert that every ``_rmod`` call stays inside its proven window
+    ``|x| < 2^50`` on integer-valued input."""
+    real = residues._rmod
+    calls = []
+
+    def spy(x, p_col, pinv_col, work):
+        x = np.asarray(x)
+        assert np.max(np.abs(x)) < _RMOD_DIRECT_LIMIT, np.max(np.abs(x))
+        assert np.array_equal(x, np.trunc(x))
+        calls.append(x.shape)
+        return real(x, p_col, pinv_col, work)
+
+    monkeypatch.setattr(residues, "_rmod", spy)
+    return calls
+
+
+class TestLimbFold:
+    """The one-``rmod`` fold of the top limb in the conversion."""
+
+    def test_limb_counts_at_the_magnitudes_the_scaling_produces(self):
+        assert _limb_count(float(_DIRECT - 1), _LIMB_MAX) == 0
+        assert _limb_count(float(_DIRECT), _LIMB_MAX) == 1
+        assert _limb_count(2.0**57, _LIMB_MAX) == 1
+        assert _limb_count(2.0**66, _LIMB_MAX) == 1
+        assert _limb_count(2.0**78, _LIMB_MAX) == 2
+
+    def test_largest_one_limb_bound_and_one_above(self, rmod_window_spy):
+        largest, _ = _one_limb_top_bounds()
+        at_bound = _worst_fold_value(largest)
+        above = float(np.nextafter(float(largest << _LIMB_BITS), np.inf))
+        assert _limb_count(at_bound, _LIMB_MAX) == 1
+        assert _limb_count(above, _LIMB_MAX) == 2
+        for x in (at_bound, above):
+            _check_conversion([x, -x, 1.0, -0.0])
+        assert rmod_window_spy
+
+    def test_worst_case_fold_stays_inside_the_window(self, rmod_window_spy):
+        """Top limbs up to the bound with its low-limb term dropped, each with
+        the largest low limb: a fold bound without the ``+2^26`` term would
+        admit one limb here and feed ``_rmod`` a value above ``2^50``."""
+        largest, mutated = _one_limb_top_bounds()
+        tops = sorted({largest, largest + 1, (largest + mutated) // 2, mutated, mutated + 1})
+        values = [_worst_fold_value(t) for t in tops]
+        values += [-v for v in values]
+        _check_conversion(values)
+        for v in values:
+            _check_conversion([v])
+        assert rmod_window_spy
+
+    def test_magnitudes_around_the_direct_window(self, rmod_window_spy):
+        values = []
+        for delta in (-(2**12), -1, 0, 1, 2**12):
+            values += [float(_DIRECT + delta), -float(_DIRECT + delta)]
+        _check_conversion(values)
+        _check_conversion([float(_DIRECT - 1), -float(_DIRECT - 1)])
+
+    @pytest.mark.parametrize("bits", [57, 66, 78])
+    def test_one_and_two_limb_magnitudes(self, rmod_window_spy, bits):
+        rng = np.random.default_rng(bits)
+        big = np.trunc(rng.uniform(-1.0, 1.0, 300) * 2.0**bits)
+        edges = [2.0**bits - 2.0 ** (bits - 52), -(2.0**bits), 2.0 ** (bits - 1)]
+        _check_conversion(list(big) + edges)
+
+    def test_mixed_blocks_with_zeros_and_half_moduli(self, rmod_window_spy):
+        """Small entries (zeros, ``±(p − 1)/2``, ``p = 256`` ties) share
+        blocks with a two-limb value, so they run through the fold too; the
+        array spans three blocks."""
+        rng = np.random.default_rng(11)
+        x = np.trunc(rng.standard_normal(2 * _BLOCK + 9) * 2.0**20)
+        x[::7] = 0.0
+        x[1::7] = -0.0
+        for j, p in enumerate(MODULI_TABLE):
+            x[2 + 7 * j] = (p - 1) // 2
+            x[3 + 7 * j] = -((p - 1) // 2)
+            x[4 + 7 * j] = p * 12345 + (p - 1) // 2
+            x[6 + 7 * j] = 128 + 256 * j  # the p = 256 tie
+        x[5] = 2.0**78
+        x[-1] = -(2.0**66)
+        got = residues_to_int8(x, MODULI_TABLE)
+        np.testing.assert_array_equal(got.astype(np.int64), _oracle_rmod(x.tolist(), MODULI_TABLE))
+        np.testing.assert_array_equal(got, residues_to_int8(x, MODULI_TABLE, single_pass=False))
 
 
 class TestUStackOracle:

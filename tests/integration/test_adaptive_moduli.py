@@ -3,8 +3,9 @@
 Covers the wiring the unit/property suites do not: per-item selection in
 the batched runtime, the engine ledger's per-call moduli histogram, the
 progressive solver ladder, prepared-operand re-derivation corner cases,
-the accumulation workspace cache, the parallelism="auto" clamp, the cost
-model's predicted savings, and the CLI surfaces.
+value safety of repeated accumulations across shapes, the
+parallelism="auto" clamp, the cost model's predicted savings, and the CLI
+surfaces.
 """
 
 from __future__ import annotations

@@ -62,6 +62,17 @@ class TestFingerprint:
         assert not view.flags["C_CONTIGUOUS"]
         assert matrix_fingerprint(view) == matrix_fingerprint(view.copy())
 
+    def test_digest_is_128_bit_sha256_of_salt_and_logical_bytes(self):
+        import hashlib
+
+        a = np.random.default_rng(6).standard_normal((5, 7)).T
+        expected = hashlib.sha256(
+            a.dtype.str.encode("ascii")
+            + repr(a.shape).encode("ascii")
+            + a.tobytes(order="C")
+        ).hexdigest()[:32]
+        assert matrix_fingerprint(a) == expected
+
     def test_shape_is_part_of_the_identity(self):
         flat = np.arange(12, dtype=np.float64)
         assert matrix_fingerprint(flat.reshape(3, 4)) != matrix_fingerprint(
